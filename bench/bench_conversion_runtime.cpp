@@ -1,6 +1,7 @@
 // bench_conversion_runtime — checks the Section 7 run-time claim ("The
 // run-time of the algorithms is a few milliseconds") and records the sparse
-// symbolic engine against the dense baseline in the same run.
+// symbolic engine against the dense reference engine
+// (verify/reference_symbolic.hpp) in the same run.
 //
 // The bundled model set is the eight Table 1 applications plus three large
 // fork/join graphs whose initial-token counts (258..1030) are where the
@@ -31,6 +32,7 @@
 #include "transform/hsdf_classic.hpp"
 #include "transform/hsdf_reduced.hpp"
 #include "transform/symbolic.hpp"
+#include "verify/reference_symbolic.hpp"
 
 namespace {
 
@@ -75,12 +77,10 @@ ModelReport measure_model(const BenchmarkCase& bench, int reps) {
     r.matrix_density = warm.matrix.density();
 
     r.baseline_dense = sdfbench::measure_ms(reps, [&] {
-        benchmark::DoNotOptimize(
-            symbolic_iteration(bench.graph, SymbolicEngine::dense));
+        benchmark::DoNotOptimize(reference_symbolic_matrix(bench.graph));
     });
     r.optimized_sparse = sdfbench::measure_ms(reps, [&] {
-        benchmark::DoNotOptimize(
-            symbolic_iteration(bench.graph, SymbolicEngine::sparse));
+        benchmark::DoNotOptimize(symbolic_iteration(bench.graph));
     });
     r.traditional = sdfbench::measure_ms(reps, [&] {
         benchmark::DoNotOptimize(to_hsdf_classic(bench.graph));
@@ -236,8 +236,7 @@ void BM_SymbolicIterationSparse(benchmark::State& state) {
     const auto cases = bundled_models();
     const BenchmarkCase& bench = cases[static_cast<std::size_t>(state.range(0))];
     for (auto _ : state) {
-        benchmark::DoNotOptimize(
-            symbolic_iteration(bench.graph, SymbolicEngine::sparse));
+        benchmark::DoNotOptimize(symbolic_iteration(bench.graph));
     }
     state.SetLabel(bench.label);
 }
@@ -246,8 +245,7 @@ void BM_SymbolicIterationDense(benchmark::State& state) {
     const auto cases = bundled_models();
     const BenchmarkCase& bench = cases[static_cast<std::size_t>(state.range(0))];
     for (auto _ : state) {
-        benchmark::DoNotOptimize(
-            symbolic_iteration(bench.graph, SymbolicEngine::dense));
+        benchmark::DoNotOptimize(reference_symbolic_matrix(bench.graph));
     }
     state.SetLabel(bench.label);
 }

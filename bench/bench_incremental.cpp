@@ -3,9 +3,9 @@
 //
 // The warm path goes through the mutation protocol end to end: Graph copy
 // (shares the warm AnalysisManager), set_execution_time (records the
-// MutationEvent and refines a fresh manager), and the refined
-// IncrementalThroughputAnalysis result — i.e. exactly what one `edit`
-// request costs inside `sdfred serve`.  The baseline is throughput_symbolic
+// MutationEvent and refines a fresh manager), and the refined throughput
+// slot (analysis/incremental.hpp) — i.e. exactly what one `edit` request
+// costs inside `sdfred serve`.  The baseline is throughput_symbolic
 // on the same edited graph, bypassing every cache.
 //
 // Bit-exactness is checked on every repetition (refined period and
@@ -69,7 +69,7 @@ std::shared_ptr<const IncrementalThroughput> edited_warm(const Fixture& f,
                                                          Int new_time) {
     Graph copy = f.graph;
     copy.set_execution_time(f.edit_actor, new_time);
-    return copy.analyses()->cached<IncrementalThroughputAnalysis>();
+    return copy.analyses()->cached<ThroughputAnalysis>();
 }
 
 struct Report {
@@ -90,8 +90,8 @@ Report measure(const Fixture& f, int reps) {
     r.actors = f.graph.actor_count();
     r.channels = f.graph.channel_count();
 
-    // Prime the warm state once — the cost every serve daemon already paid
-    // when it first analysed the parent model.
+    // The cold solve once — the cost every serve daemon already paid when
+    // it first analysed the parent model, and the warm state edits refine.
     const auto warm = warm_throughput(f.graph);
     if (warm->state == nullptr) {
         std::printf("ERROR: %s has no warm state (too large to trace?)\n",
@@ -168,7 +168,7 @@ void BM_FullSolve(benchmark::State& state) {
 void BM_IncrementalEdit(benchmark::State& state) {
     const auto fixtures = prepare();
     const Fixture& f = fixtures[static_cast<std::size_t>(state.range(0))];
-    warm_throughput(f.graph);
+    cached_throughput(f.graph);
     for (auto _ : state) {
         benchmark::DoNotOptimize(edited_warm(f, f.edited_time));
     }

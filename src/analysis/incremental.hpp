@@ -1,9 +1,10 @@
-// incremental.hpp — warm-state throughput: compute once, refine per edit.
+// incremental.hpp — the cached throughput slot: solve once, refine per edit.
 //
-// throughput_symbolic discards everything it learned on the way to λ: the
-// per-firing finish stamps of the symbolic execution, the iteration
-// matrix's precedence graph, and the reason λ is what it is.  This slot
-// keeps all three as an IncrementalThroughputState so that an
+// cached_throughput (analysis/throughput.hpp) answers route 1 through the
+// graph's AnalysisManager, and the slot behind it keeps what the solve
+// learned on the way to λ: the per-firing finish stamps of the symbolic
+// execution, the iteration matrix's precedence graph, and the reason λ is
+// what it is (an McmCertificate).  The cold solve IS the warm state, so an
 // execution-time edit costs
 //
 //   1. an integer REPLAY of the same schedule that reuses the old finish
@@ -18,17 +19,13 @@
 //      O(changed + critical cycle) when the stored witnesses still hold,
 //      and only a dirty SCC ever re-runs Karp.
 //
-// The slot lives at refine phase 1; ThroughputAnalysis (phase 2) forwards
-// to the result refined here, so `cached_throughput` callers get warm
-// answers without knowing this layer exists.  Bit-exactness is part of the
-// contract: the refined result equals what a from-scratch
-// throughput_symbolic on the edited graph would return, Rational for
-// Rational (the fuzz oracle `incremental-route` enforces this).
+// Bit-exactness is part of the contract: the refined result equals what a
+// from-scratch throughput_symbolic on the edited graph would return,
+// Rational for Rational (the fuzz oracle `incremental-route` enforces this).
 #pragma once
 
 #include <cstdint>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "analysis/throughput.hpp"
@@ -39,13 +36,18 @@
 namespace sdf {
 
 /// The edit-invariant part of the warm state, shared across refinement
-/// generations: the schedule the trace executes, the (row,col) → precedence
-/// edge index, and the token count.  All invariant under timing edits.
+/// generations: the structure that was traced, the schedule the trace
+/// executes and the column index of the precedence graph.
 struct IncrementalSkeleton {
+    /// The traced graph's structure; a state adopted onto any other
+    /// structure (a pass that declares throughput preserved) is not replayed.
+    std::size_t actor_count = 0;
+    std::vector<Channel> channels;
     std::vector<ActorId> schedule;
-    /// (row << 32 | col) of a finite matrix entry → its precedence edge id.
-    std::unordered_map<std::uint64_t, std::size_t> entry_edge;
-    std::size_t token_count = 0;
+    /// The precedence graph is built column by column from the final token
+    /// stamps, so the edge of matrix entry (row, col) is
+    /// col_begin[col] + the rank of row in that column's support.
+    std::vector<std::size_t> col_begin;
 };
 
 /// Everything needed to absorb the next timing edit without a from-scratch
@@ -58,11 +60,11 @@ struct IncrementalThroughputState {
 };
 
 /// The slot's result: the throughput answer plus the warm state behind it.
-/// `state` is null when the graph is too large to trace (the answer is then
-/// a plain throughput_symbolic and edits fall back to lazy recomputation)
-/// or the graph deadlocks.  The counters are cumulative over the refinement
-/// lineage — the bench and the stats report read them to prove the fast
-/// path actually ran.
+/// `state` is null when the graph deadlocks or its iteration has more than
+/// 2^17 firings (the answer is then kept without the per-firing stamps and
+/// edits fall back to lazy recomputation).  The counters are cumulative
+/// over the refinement lineage — the bench and the stats report read them
+/// to prove the fast path actually ran.
 struct IncrementalThroughput {
     ThroughputResult result;
     std::shared_ptr<const IncrementalThroughputState> state;
@@ -70,22 +72,24 @@ struct IncrementalThroughput {
     std::uint64_t rescored_sccs = 0;  ///< SCCs that needed a Karp re-solve
 };
 
-/// AnalysisManager slot (see sdf/analysis_manager.hpp).  Time-sensitive,
-/// refine phase 1: runs after the untimed structural slots so the replay
-/// can trust the kept schedule, and before ThroughputAnalysis (phase 2)
-/// which forwards to the result refined here.
-struct IncrementalThroughputAnalysis {
+/// AnalysisManager slot for route 1 (see sdf/analysis_manager.hpp).
+/// compute() is the traced sparse symbolic execution followed by
+/// max_cycle_mean_certified; refine() replays a timing edit through the
+/// kept state, keeps a deadlocked answer under timing edits and drops for
+/// lazy recomputation otherwise.  Time-sensitive, refine phase 1: it runs
+/// after the untimed structural slots it reads (repetition).
+struct ThroughputAnalysis {
     using Result = IncrementalThroughput;
-    static constexpr const char* kName = "throughput-incremental";
+    static constexpr const char* kName = "throughput";
     static constexpr bool kTimeSensitive = true;
     static constexpr int kRefinePhase = 1;
     static Result compute(const Graph& graph);
     static Refined<Result> refine(const Result& old, const RefineContext& ctx);
 };
 
-/// Primes (or serves) the warm throughput state of `graph` through its
-/// AnalysisManager: the entry point for callers that intend to edit the
-/// graph afterwards (`sdfred serve`'s edit op, the incremental bench).
+/// The whole slot behind cached_throughput, warm state included: what a
+/// caller reads to see whether, and how often, the fast path ran.  Solves
+/// on first use like cached_throughput; never a second solve.
 std::shared_ptr<const IncrementalThroughput> warm_throughput(const Graph& graph);
 
 }  // namespace sdf

@@ -3,9 +3,9 @@
 #include <algorithm>
 
 #include "analysis/incremental.hpp"
-
 #include "base/errors.hpp"
 #include "maxplus/mcm.hpp"
+#include "maxplus/mcm_certificate.hpp"
 #include "robust/budget.hpp"
 #include "sdf/properties.hpp"
 #include "sdf/repetition.hpp"
@@ -19,7 +19,7 @@ namespace sdf {
 namespace {
 
 /// Turns a period λ into per-actor throughputs q(a)/λ.
-ThroughputResult finite_result(const Graph& graph, const Rational& period) {
+ThroughputResult finite_result(const std::vector<Int>& repetition, const Rational& period) {
     ThroughputResult result;
     if (period.is_zero()) {
         result.outcome = ThroughputOutcome::unbounded;
@@ -27,7 +27,6 @@ ThroughputResult finite_result(const Graph& graph, const Rational& period) {
     }
     result.outcome = ThroughputOutcome::finite;
     result.period = period;
-    const std::vector<Int> repetition = repetition_vector(graph);
     result.per_actor.reserve(repetition.size());
     for (const Int q : repetition) {
         result.per_actor.push_back(Rational(q) / period);
@@ -42,20 +41,157 @@ ThroughputResult deadlocked_result(const Graph& graph) {
     return result;
 }
 
+/// λ (or its absence) → ThroughputResult.
+ThroughputResult result_from_metric(const CycleMetric& metric,
+                                    const std::vector<Int>& repetition) {
+    if (metric.outcome != CycleOutcome::finite) {
+        ThroughputResult result;
+        result.outcome = ThroughputOutcome::unbounded;
+        return result;
+    }
+    return finite_result(repetition, metric.value);
+}
+
+/// Past this many firings the slot keeps its answer without the per-firing
+/// stamps (their memory grows with the schedule, not with the matrix).
+constexpr std::size_t kMaxTracedFirings = std::size_t{1} << 17;
+
+bool same_structure(const Graph& graph, const IncrementalSkeleton& skeleton) {
+    if (graph.actor_count() != skeleton.actor_count ||
+        graph.channel_count() != skeleton.channels.size()) {
+        return false;
+    }
+    for (ChannelId c = 0; c < graph.channel_count(); ++c) {
+        const Channel& a = graph.channel(c);
+        const Channel& b = skeleton.channels[c];
+        if (a.src != b.src || a.dst != b.dst || a.production != b.production ||
+            a.consumption != b.consumption || a.initial_tokens != b.initial_tokens) {
+            return false;
+        }
+    }
+    return true;
+}
+
 }  // namespace
 
-Refined<ThroughputResult> ThroughputAnalysis::refine(const Result& old,
-                                                     const RefineContext& ctx) {
+IncrementalThroughput ThroughputAnalysis::compute(const Graph& graph) {
+    IncrementalThroughput out;
+    std::vector<ActorId> schedule;
+    try {
+        schedule = sequential_schedule(graph);
+    } catch (const DeadlockError&) {
+        out.result = deadlocked_result(graph);
+        return out;
+    }
+    require_symbolic_token_limit(graph);
+
+    const bool traced = schedule.size() <= kMaxTracedFirings;
+    auto state = std::make_shared<IncrementalThroughputState>();
+    SymbolicRun run =
+        execute_symbolic(graph, schedule, traced ? &state->finish : nullptr);
+
+    // The precedence graph, column-major straight from the final stamps:
+    // entry (row, col) of the iteration matrix is the edge row → col.
+    auto skeleton = std::make_shared<IncrementalSkeleton>();
+    const std::size_t n = run.columns.size();
+    Digraph precedence(n);
+    skeleton->col_begin.reserve(n + 1);
+    for (std::size_t col = 0; col < n; ++col) {
+        skeleton->col_begin.push_back(precedence.edge_count());
+        run.columns[col].for_each([&](std::size_t row, Int value) {
+            precedence.add_edge(row, col, value, /*tokens=*/1);
+        });
+    }
+    skeleton->col_begin.push_back(precedence.edge_count());
+    state->certificate = max_cycle_mean_certified(precedence);
+    out.result = result_from_metric(state->certificate.metric, repetition_vector(graph));
+    if (traced) {
+        skeleton->actor_count = graph.actor_count();
+        skeleton->channels = graph.channels();
+        skeleton->schedule = std::move(schedule);
+        state->skeleton = std::move(skeleton);
+        state->column = std::move(run.columns);
+        out.state = std::move(state);
+    }
+    return out;
+}
+
+Refined<IncrementalThroughput> ThroughputAnalysis::refine(const Result& old,
+                                                          const RefineContext& ctx) {
     using Out = Refined<Result>;
-    // Phase 2: the warm-state slot has already decided whether it could
-    // absorb the delta; its result IS a from-scratch-equal throughput.
-    if (const auto warm = ctx.target.cached<IncrementalThroughputAnalysis>()) {
-        return Out::make(warm->result);
+    if (old.result.outcome == ThroughputOutcome::deadlocked) {
+        // Liveness is untimed: a pure timing edit cannot wake a deadlocked
+        // graph (and the all-zero per-actor vector has no timed content).
+        return ctx.log.timing_only() ? Out::keep() : Out::drop();
     }
-    if (old.outcome == ThroughputOutcome::deadlocked && ctx.log.timing_only()) {
-        return Out::keep();  // liveness is untimed, the zero vector has no times
+    if (!ctx.log.timing_only() || !old.state ||
+        !same_structure(ctx.graph, *old.state->skeleton)) {
+        return Out::drop();
     }
-    return Out::drop();
+    const IncrementalThroughputState& st = *old.state;
+    const IncrementalSkeleton& sk = *st.skeleton;
+    const Graph& graph = ctx.graph;
+
+    std::vector<char> touched(graph.actor_count(), 0);
+    for (const MutationEvent& e : ctx.log.events()) {
+        if (e.kind == MutationKind::execution_time) {
+            touched[e.id] = 1;
+        }
+    }
+
+    // Replay the traced execution, reusing clean finish stamps.
+    auto state = std::make_shared<IncrementalThroughputState>();
+    const SymbolicReplay replay{st.finish, touched};
+    SymbolicRun run = execute_symbolic(graph, sk.schedule, &state->finish, &replay);
+
+    // Diff the recomputed columns into precedence-edge weight deltas.
+    // Stamp supports are unions of consumed supports, so a timing edit
+    // cannot move them: entry i of column col is edge col_begin[col] + i in
+    // both generations.
+    std::vector<EdgeWeightDelta> deltas;
+    for (std::size_t col = 0; col < run.columns.size(); ++col) {
+        if (run.dirty[col] == 0) {
+            continue;
+        }
+        if (run.columns[col].support() != sk.col_begin[col + 1] - sk.col_begin[col]) {
+            throw Error("internal: a timing edit moved a stamp support");
+        }
+        std::size_t edge = sk.col_begin[col];
+        run.columns[col].for_each([&](std::size_t, Int value) {
+            deltas.push_back(EdgeWeightDelta{edge++, value});
+        });
+    }
+
+    // Certificate re-check; Karp only on SCCs whose witnesses broke.
+    std::size_t rescored = 0;
+    state->certificate = refine_cycle_mean(st.certificate, deltas, &rescored);
+    state->skeleton = st.skeleton;
+    state->column = std::move(run.columns);
+
+    Result next;
+    next.refines = old.refines + 1;
+    next.rescored_sccs = old.rescored_sccs + rescored;
+    const CycleMetric& metric = state->certificate.metric;
+    if (metric.outcome == CycleOutcome::finite &&
+        old.result.outcome == ThroughputOutcome::finite &&
+        old.result.period == metric.value) {
+        next.result = old.result;  // λ unchanged: per-actor rates carry over
+    } else {
+        const auto reps = ctx.target.cached<RepetitionVectorAnalysis>();
+        next.result = result_from_metric(
+            metric, reps ? *reps : RepetitionVectorAnalysis::compute(graph));
+    }
+    next.state = std::move(state);
+    return Out::make(std::move(next));
+}
+
+std::shared_ptr<const IncrementalThroughput> warm_throughput(const Graph& graph) {
+    return graph.analyses()->get<ThroughputAnalysis>(graph);
+}
+
+std::shared_ptr<const ThroughputResult> cached_throughput(const Graph& graph) {
+    auto slot = warm_throughput(graph);
+    return {slot, &slot->result};
 }
 
 ThroughputResult throughput_symbolic(const Graph& graph) {
@@ -65,13 +201,8 @@ ThroughputResult throughput_symbolic(const Graph& graph) {
     } catch (const DeadlockError&) {
         return deadlocked_result(graph);
     }
-    const CycleMetric metric = max_cycle_mean_karp(iteration.matrix.precedence_graph());
-    if (metric.outcome == CycleOutcome::no_cycle) {
-        ThroughputResult result;
-        result.outcome = ThroughputOutcome::unbounded;
-        return result;
-    }
-    return finite_result(graph, metric.value);
+    return result_from_metric(max_cycle_mean_karp(iteration.matrix.precedence_graph()),
+                              repetition_vector(graph));
 }
 
 ThroughputResult throughput_via_classic_hsdf(const Graph& graph) {
@@ -89,7 +220,7 @@ ThroughputResult throughput_via_classic_hsdf(const Graph& graph) {
             // original graph.
             return deadlocked_result(graph);
         case CycleOutcome::finite:
-            return finite_result(graph, metric.value);
+            return finite_result(repetition_vector(graph), metric.value);
     }
     throw Error("unreachable");
 }
@@ -130,7 +261,7 @@ ThroughputResult throughput_simulation(const Graph& graph, std::size_t max_event
             Rational(repetition[a]) * Rational(run.period_time, run.period_firings[a]);
         period = std::max(period, candidate);
     }
-    return finite_result(graph, period);
+    return finite_result(repetition, period);
 }
 
 Rational iteration_period(const Graph& graph) {
@@ -219,10 +350,6 @@ SelfTimedThroughput throughput_self_timed(const Graph& graph) {
         }
     }
     return result;
-}
-
-std::shared_ptr<const ThroughputResult> cached_throughput(const Graph& graph) {
-    return graph.analyses()->get<ThroughputAnalysis>(graph);
 }
 
 }  // namespace sdf

@@ -14,7 +14,11 @@
 //                                  the iteration matrix; Karp's algorithm
 //                                  gives its eigenvalue exactly.  This is
 //                                  the method of [8, 7] the paper builds on
-//                                  and the fastest route by far.
+//                                  and the fastest route by far.  Its
+//                                  cached form, cached_throughput, runs
+//                                  the same execution once, certifies λ
+//                                  and keeps both, so an execution-time
+//                                  edit refines the answer in place.
 //  2. throughput_via_classic_hsdf — the baseline pipeline of [11, 15]:
 //                                  classical expansion to an HSDF, then an
 //                                  exact maximum-cycle-ratio computation.
@@ -56,25 +60,12 @@ struct ThroughputResult {
 /// Route 1: symbolic iteration matrix + Karp (exact, recommended).
 ThroughputResult throughput_symbolic(const Graph& graph);
 
-/// AnalysisManager slot for route 1 (see sdf/analysis_manager.hpp): the
-/// pass pipeline and the verify-each hooks query throughput after every
-/// step, so the exact result is cached per graph.  Delta-aware at refine
-/// phase 2: when the warm-state slot (analysis/incremental.hpp, phase 1)
-/// absorbed the edit, this slot forwards its refined result; a timing edit
-/// on a deadlocked graph keeps the zero answer outright; anything else
-/// drops for lazy recomputation.
-struct ThroughputAnalysis {
-    using Result = ThroughputResult;
-    static constexpr const char* kName = "throughput";
-    static constexpr bool kTimeSensitive = true;
-    static constexpr int kRefinePhase = 2;
-    static Result compute(const Graph& graph) { return throughput_symbolic(graph); }
-    static Refined<Result> refine(const Result& old, const RefineContext& ctx);
-};
-
-/// throughput_symbolic through the graph's AnalysisManager: computes on
-/// first use, serves the cache afterwards.  Throws what the direct route
-/// throws (inconsistency), which is never cached.
+/// Route 1 through the graph's AnalysisManager: computes on first use,
+/// serves the cache afterwards, and refines the cached answer through
+/// execution-time edits instead of re-solving (the slot and its warm state
+/// are ThroughputAnalysis in analysis/incremental.hpp).  Bit-identical to
+/// throughput_symbolic; throws what it throws (inconsistency, the token
+/// limit), which is never cached.
 std::shared_ptr<const ThroughputResult> cached_throughput(const Graph& graph);
 
 /// Route 2: classical HSDF conversion + exact maximum cycle ratio.

@@ -6,6 +6,7 @@
 #include "absint/certificate.hpp"
 #include "absint/reachability.hpp"
 #include "absint/token_intervals.hpp"
+#include "analysis/incremental.hpp"
 #include "analysis/throughput.hpp"
 #include "sdf/repetition.hpp"
 #include "sdf/schedule.hpp"
@@ -186,9 +187,9 @@ bool check_preserved_slot(const std::string& name, const Graph& before,
             return false;
         }
         const auto recomputed = cached_throughput(after);
-        if (cached->outcome != recomputed->outcome ||
-            cached->period != recomputed->period ||
-            cached->per_actor != recomputed->per_actor) {
+        if (cached->result.outcome != recomputed->outcome ||
+            cached->result.period != recomputed->period ||
+            cached->result.per_actor != recomputed->per_actor) {
             violation(invocation, "preserved analysis 'throughput' changed");
         }
         return true;

@@ -12,7 +12,7 @@
 
 #include "absint/reachability.hpp"
 #include "absint/token_intervals.hpp"
-#include "analysis/throughput.hpp"
+#include "analysis/incremental.hpp"
 #include "pass/registry.hpp"
 #include "sdf/repetition.hpp"
 #include "sdf/schedule.hpp"

@@ -86,8 +86,8 @@ void AnalysisManager::refine_from(const AnalysisManager& from, const Graph& grap
         }
     }
     // Phase order lets derived slots (throughput) read base slots
-    // (repetition, incremental max-plus state) the earlier phases already
-    // installed; ties break on the slot name for determinism.
+    // (repetition) the earlier phases already installed; ties break on the
+    // slot name for determinism.
     std::sort(pending.begin(), pending.end(), [](const Pending& a, const Pending& b) {
         if (a.slot.phase != b.slot.phase) {
             return a.slot.phase < b.slot.phase;

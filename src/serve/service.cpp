@@ -10,7 +10,6 @@
 #include "absint/reachability.hpp"
 #include "absint/token_intervals.hpp"
 #include "analysis/governed.hpp"
-#include "analysis/incremental.hpp"
 #include "analysis/throughput.hpp"
 #include "lint/lint.hpp"
 #include "lint/render.hpp"
@@ -625,18 +624,6 @@ Json ServeCore::op_edit(const Request& request, const CancellationToken& token,
         return Json::parse(cached->second);
     } else {
         cache_state = "miss";
-    }
-
-    const ExecutionBudget budget = effective_budget(request);
-    if (budget.unlimited()) {
-        // Prime the warm throughput state on the PARENT entry so the edits
-        // below refine it instead of seeding a cold child.  Inconsistent
-        // parents have no schedule to trace — edits still derive the child,
-        // so the failure only skips the warm-up.
-        try {
-            warm_throughput(parent.graph);
-        } catch (const Error&) {
-        }
     }
 
     // The copy shares the parent's AnalysisManager until the first edit;

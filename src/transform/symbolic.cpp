@@ -11,138 +11,15 @@ namespace sdf {
 
 namespace {
 
-/// Input/output channel lists indexed by actor, shared by both engines.
-struct Adjacency {
-    std::vector<std::vector<ChannelId>> inputs;
-    std::vector<std::vector<ChannelId>> outputs;
+/// One token in flight: its stamp, and whether a replay recomputed it.
+struct Token {
+    MpStamp stamp;
+    bool dirty = false;
 };
-
-Adjacency build_adjacency(const Graph& graph) {
-    Adjacency adj;
-    adj.inputs.resize(graph.actor_count());
-    adj.outputs.resize(graph.actor_count());
-    for (ChannelId c = 0; c < graph.channel_count(); ++c) {
-        adj.inputs[graph.channel(c).dst].push_back(c);
-        adj.outputs[graph.channel(c).src].push_back(c);
-    }
-    return adj;
-}
-
-/// The sparse engine: stamps are shared immutable (index, value) supports.
-/// Consuming merges supports in O(support), producing pushes refcounted
-/// handles, and the final matrix install walks only the finite entries.
-MpMatrix run_sparse(const Graph& graph, const std::vector<ActorId>& schedule,
-                    std::size_t n) {
-    std::vector<std::deque<MpStamp>> fifo(graph.channel_count());
-    {
-        std::size_t global = 0;
-        for (ChannelId c = 0; c < graph.channel_count(); ++c) {
-            for (Int i = 0; i < graph.channel(c).initial_tokens; ++i) {
-                fifo[c].push_back(MpStamp::unit(global++));
-            }
-        }
-    }
-    const Adjacency adj = build_adjacency(graph);
-    std::vector<MpStamp> consumed;  // reused across firings
-    for (const ActorId a : schedule) {
-        SDFRED_CHECKPOINT();
-        consumed.clear();
-        for (const ChannelId ci : adj.inputs[a]) {
-            const Int need = graph.channel(ci).consumption;
-            for (Int i = 0; i < need; ++i) {
-                if (fifo[ci].empty()) {
-                    throw Error("internal: admissible schedule underflowed a channel");
-                }
-                consumed.push_back(std::move(fifo[ci].front()));
-                fifo[ci].pop_front();
-            }
-        }
-        // One batched k-way merge per firing instead of k pairwise merges.
-        const MpStamp finish = MpStamp::max_of(consumed).plus(graph.actor(a).execution_time);
-        for (const ChannelId ci : adj.outputs[a]) {
-            for (Int i = 0; i < graph.channel(ci).production; ++i) {
-                fifo[ci].push_back(finish);
-            }
-        }
-    }
-    MpMatrix matrix(n, n);
-    {
-        std::size_t global = 0;
-        for (ChannelId c = 0; c < graph.channel_count(); ++c) {
-            const Int expected = graph.channel(c).initial_tokens;
-            if (static_cast<Int>(fifo[c].size()) != expected) {
-                throw Error("internal: channel token count changed over an iteration");
-            }
-            for (Int i = 0; i < expected; ++i) {
-                const std::size_t col = global++;
-                fifo[c][static_cast<std::size_t>(i)].for_each(
-                    [&](std::size_t row, Int value) { matrix.set(row, col, MpValue(value)); });
-            }
-        }
-    }
-    return matrix;
-}
-
-/// The dense reference engine: one full N-length MpVector per token, kept
-/// as the differential-testing baseline for the sparse path above.
-MpMatrix run_dense(const Graph& graph, const std::vector<ActorId>& schedule,
-                   std::size_t n) {
-    // Each of the n in-flight tokens carries a full n-length vector.
-    robust_account_bytes(n * n * sizeof(MpValue));
-    std::vector<std::deque<MpVector>> fifo(graph.channel_count());
-    {
-        std::size_t global = 0;
-        for (ChannelId c = 0; c < graph.channel_count(); ++c) {
-            for (Int i = 0; i < graph.channel(c).initial_tokens; ++i) {
-                fifo[c].push_back(MpVector::unit(n, global++));
-            }
-        }
-    }
-    const Adjacency adj = build_adjacency(graph);
-    for (const ActorId a : schedule) {
-        SDFRED_CHECKPOINT();
-        // Start time: element-wise max over all consumed stamps.  A firing
-        // that consumes nothing starts unconstrained (all −∞).
-        MpVector start(n);
-        for (const ChannelId ci : adj.inputs[a]) {
-            const Int need = graph.channel(ci).consumption;
-            for (Int i = 0; i < need; ++i) {
-                if (fifo[ci].empty()) {
-                    throw Error("internal: admissible schedule underflowed a channel");
-                }
-                start = start.max_with(fifo[ci].front());
-                fifo[ci].pop_front();
-            }
-        }
-        const MpVector finish = start.plus(graph.actor(a).execution_time);
-        for (const ChannelId ci : adj.outputs[a]) {
-            for (Int i = 0; i < graph.channel(ci).production; ++i) {
-                fifo[ci].push_back(finish);
-            }
-        }
-    }
-    MpMatrix matrix(n, n);
-    {
-        std::size_t global = 0;
-        for (ChannelId c = 0; c < graph.channel_count(); ++c) {
-            const Int expected = graph.channel(c).initial_tokens;
-            if (static_cast<Int>(fifo[c].size()) != expected) {
-                throw Error("internal: channel token count changed over an iteration");
-            }
-            for (Int i = 0; i < expected; ++i) {
-                matrix.set_column(global++, fifo[c][static_cast<std::size_t>(i)]);
-            }
-        }
-    }
-    return matrix;
-}
 
 }  // namespace
 
-SymbolicIteration symbolic_iteration(const Graph& graph, SymbolicEngine engine) {
-    const std::vector<ActorId> schedule = sequential_schedule(graph);
-
-    SymbolicIteration result;
+void require_symbolic_token_limit(const Graph& graph) {
     // The iteration matrix is dense n×n over the n initial tokens.  Refuse
     // up front when it could not possibly be materialised — e.g. the
     // bundled overflow stress model carries ~1e12 tokens, which would churn
@@ -158,10 +35,91 @@ SymbolicIteration symbolic_iteration(const Graph& graph, SymbolicEngine engine) 
                     std::to_string(kMaxSymbolicTokens) +
                     " tokens (model large token counts as scaled rates instead)");
     }
+}
+
+// Stamps are shared immutable (index, value) supports: consuming merges
+// supports in O(support), producing pushes refcounted handles.
+SymbolicRun execute_symbolic(const Graph& graph, const std::vector<ActorId>& schedule,
+                             std::vector<MpStamp>* finish, const SymbolicReplay* replay) {
+    std::vector<std::deque<Token>> fifo(graph.channel_count());
+    std::vector<std::vector<ChannelId>> inputs(graph.actor_count());
+    std::vector<std::vector<ChannelId>> outputs(graph.actor_count());
+    std::size_t n = 0;
+    for (ChannelId c = 0; c < graph.channel_count(); ++c) {
+        const Channel& ch = graph.channel(c);
+        inputs[ch.dst].push_back(c);
+        outputs[ch.src].push_back(c);
+        for (Int i = 0; i < ch.initial_tokens; ++i) {
+            fifo[c].push_back(Token{MpStamp::unit(n++), false});
+        }
+    }
+    if (finish != nullptr) {
+        finish->reserve(finish->size() + schedule.size());
+    }
+    std::vector<MpStamp> consumed;  // reused across firings
+    for (std::size_t f = 0; f < schedule.size(); ++f) {
+        SDFRED_CHECKPOINT();
+        const ActorId a = schedule[f];
+        bool dirty = replay == nullptr || replay->touched[a] != 0;
+        consumed.clear();
+        for (const ChannelId ci : inputs[a]) {
+            const Int need = graph.channel(ci).consumption;
+            for (Int i = 0; i < need; ++i) {
+                if (fifo[ci].empty()) {
+                    throw Error("internal: admissible schedule underflowed a channel");
+                }
+                dirty = dirty || fifo[ci].front().dirty;
+                consumed.push_back(std::move(fifo[ci].front().stamp));
+                fifo[ci].pop_front();
+            }
+        }
+        MpStamp stamp;
+        if (!dirty) {
+            stamp = replay->previous[f];  // untouched cone: the old handle is exact
+        } else {
+            // One batched k-way merge per firing instead of k pairwise merges.
+            stamp = MpStamp::max_of(consumed).plus(graph.actor(a).execution_time);
+            if (replay != nullptr && stamp == replay->previous[f]) {
+                dirty = false;  // edit absorbed (e.g. not on the critical input)
+            }
+        }
+        for (const ChannelId ci : outputs[a]) {
+            for (Int i = 0; i < graph.channel(ci).production; ++i) {
+                fifo[ci].push_back(Token{stamp, dirty});
+            }
+        }
+        if (finish != nullptr) {
+            finish->push_back(std::move(stamp));
+        }
+    }
+    SymbolicRun run;
+    run.columns.reserve(n);
+    run.dirty.reserve(n);
+    for (ChannelId c = 0; c < graph.channel_count(); ++c) {
+        if (static_cast<Int>(fifo[c].size()) != graph.channel(c).initial_tokens) {
+            throw Error("internal: channel token count changed over an iteration");
+        }
+        for (Token& token : fifo[c]) {
+            run.columns.push_back(std::move(token.stamp));
+            run.dirty.push_back(token.dirty ? 1 : 0);
+        }
+    }
+    return run;
+}
+
+SymbolicIteration symbolic_iteration(const Graph& graph) {
+    const std::vector<ActorId> schedule = sequential_schedule(graph);
+    require_symbolic_token_limit(graph);
+
+    SymbolicIteration result;
     result.tokens = initial_tokens(graph);
     const std::size_t n = result.tokens.size();
-    result.matrix = engine == SymbolicEngine::sparse ? run_sparse(graph, schedule, n)
-                                                     : run_dense(graph, schedule, n);
+    const SymbolicRun run = execute_symbolic(graph, schedule, nullptr);
+    result.matrix = MpMatrix(n, n);
+    for (std::size_t col = 0; col < n; ++col) {
+        run.columns[col].for_each(
+            [&](std::size_t row, Int value) { result.matrix.set(row, col, MpValue(value)); });
+    }
     return result;
 }
 

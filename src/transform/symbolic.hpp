@@ -25,6 +25,7 @@
 #include <vector>
 
 #include "maxplus/matrix.hpp"
+#include "maxplus/stamp.hpp"
 #include "sdf/graph.hpp"
 #include "sdf/properties.hpp"
 
@@ -39,24 +40,48 @@ struct SymbolicIteration {
     std::vector<TokenRef> tokens;
 };
 
-/// Which stamp representation drives the symbolic execution.  Both engines
-/// produce bit-identical matrices (enforced by the differential property
-/// tests); `sparse` is the default and the fast path — a firing costs
-/// O(support of the consumed stamps) and multi-rate production pushes
-/// refcounted handles, while `dense` copies a full N-length vector per
-/// produced token and exists as the reference baseline.
-enum class SymbolicEngine {
-    sparse,  ///< MpStamp: shared immutable (index, value) storage
-    dense,   ///< MpVector: one MpValue per initial token, copied eagerly
-};
-
 /// Symbolically executes one iteration of a consistent, deadlock-free SDF
 /// graph and returns its max-plus iteration matrix.  Throws
-/// InconsistentGraphError / DeadlockError accordingly, and plain Error when
-/// the graph carries more initial tokens than the dense n×n matrix could
-/// ever hold in memory (the guard fires before any allocation happens).
-SymbolicIteration symbolic_iteration(const Graph& graph,
-                                     SymbolicEngine engine = SymbolicEngine::sparse);
+/// InconsistentGraphError / DeadlockError accordingly, and
+/// ResourceLimitError when the graph carries more initial tokens than the
+/// dense n×n matrix could ever hold in memory (the guard fires before any
+/// allocation happens).
+SymbolicIteration symbolic_iteration(const Graph& graph);
+
+/// The token limit of symbolic_iteration: throws its ResourceLimitError
+/// when `graph` carries more than 16384 initial tokens.  The cached
+/// throughput slot (analysis/incremental.hpp) never builds the dense
+/// matrix but keeps the same limit, so both routes refuse the same graphs.
+void require_symbolic_token_limit(const Graph& graph);
+
+/// Input to execute_symbolic when it REPLAYS an earlier run of the same
+/// schedule after execution-time edits.  A firing whose actor is not
+/// `touched` and whose consumed tokens are all clean reuses its previous
+/// finish stamp; a recomputed stamp equal to the previous one is clean
+/// again, which cuts dirtiness off where an edit is absorbed.
+struct SymbolicReplay {
+    const std::vector<MpStamp>& previous;  ///< finish stamp per firing of the earlier run
+    const std::vector<char>& touched;      ///< per actor: execution time edited
+};
+
+/// The outcome of one execute_symbolic run.
+struct SymbolicRun {
+    /// Final stamp of every initial token in canonical order: column k of
+    /// the iteration matrix is the stamp of new token k.
+    std::vector<MpStamp> columns;
+    /// Per column, set when a replay could not reuse its previous stamp
+    /// (always set without a replay).
+    std::vector<char> dirty;
+};
+
+/// The sparse symbolic execution of one iteration along `schedule` (an
+/// admissible schedule of `graph`) — the one execution loop behind
+/// symbolic_iteration and the cached throughput slot.  `finish`, when
+/// non-null, receives every firing's finish stamp in schedule order;
+/// `replay`, when non-null, reuses the stamps of an earlier run.
+SymbolicRun execute_symbolic(const Graph& graph, const std::vector<ActorId>& schedule,
+                             std::vector<MpStamp>* finish,
+                             const SymbolicReplay* replay = nullptr);
 
 /// Symbolically executes `iterations` iterations (the matrix power G^n with
 /// the row/column convention above, computed by direct execution order

@@ -10,7 +10,6 @@
 #include "analysis/buffers.hpp"
 #include "analysis/deadlock.hpp"
 #include "analysis/governed.hpp"
-#include "analysis/incremental.hpp"
 #include "analysis/liveness.hpp"
 #include "analysis/throughput.hpp"
 #include "base/cpudispatch.hpp"
@@ -32,6 +31,7 @@
 #include "transform/selfloops.hpp"
 #include "transform/symbolic.hpp"
 #include "transform/unfold.hpp"
+#include "verify/reference_symbolic.hpp"
 
 namespace sdf {
 
@@ -514,10 +514,10 @@ Verdict run_symbolic_engines(const Graph& graph, const OracleLimits& limits) {
     if (graph.total_initial_tokens() > limits.max_tokens) {
         return Verdict::skip(kId, "token count above matrix limit");
     }
-    const SymbolicIteration sparse = symbolic_iteration(graph, SymbolicEngine::sparse);
-    const SymbolicIteration dense = symbolic_iteration(graph, SymbolicEngine::dense);
+    const SymbolicIteration sparse = symbolic_iteration(graph);
+    const MpMatrix dense = reference_symbolic_matrix(graph);
     std::vector<Disagreement> disagreements;
-    if (!(sparse.matrix == dense.matrix)) {
+    if (!(sparse.matrix == dense)) {
         disagreements.push_back(disagree("iteration matrix", "sparse stamps",
                                          "matrix differs", "dense vectors",
                                          "matrix differs"));
@@ -1095,21 +1095,12 @@ std::vector<Disagreement> run_incremental_script(
     std::vector<Disagreement> out;
     Graph inc = rebuild_cold(base);
     // Prime every slot so the edits below REFINE warm state: the initial
-    // comparison fills the untimed slots and the plain throughput slot, and
-    // warm_throughput seeds the incremental max-plus state the timing edits
-    // are meant to exercise.
+    // comparison fills the untimed slots and the throughput slot, whose
+    // cold solve is the incremental max-plus state the timing edits are
+    // meant to exercise.
     compare_incremental_state(inc, limits, "before any edit", out);
     if (!out.empty()) {
         return out;
-    }
-    if (is_consistent(inc) &&
-        iteration_length(inc) <= limits.max_iteration_length) {
-        try {
-            warm_throughput(inc);
-        } catch (const Error&) {
-            // Deadlocked or otherwise out of the warm path's domain: edits
-            // then refine whatever the manager does hold.
-        }
     }
     for (std::size_t step = 0; step < script.size(); ++step) {
         if (fault_spec != nullptr) {
@@ -1288,7 +1279,8 @@ std::vector<Oracle>& mutable_registry() {
          "lands in a token",
          &run_makespan},
         {"symbolic-engines", "sparse == dense stamps; all ISA kernels == naive",
-         "both stamp engines produce bit-identical matrices; the checked blocked "
+         "the sparse execution reproduces the dense reference engine bit for bit; "
+         "the checked blocked "
          "kernel and every supported SIMD tier reproduce naive multiply, and pooled "
          "Karp matches its serial baseline",
          &run_symbolic_engines},

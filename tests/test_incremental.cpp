@@ -5,6 +5,7 @@
 // fuzz oracle `incremental-route` covers random edit scripts; these are the
 // deterministic corner cases.
 #include <memory>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -12,6 +13,7 @@
 
 #include "analysis/incremental.hpp"
 #include "analysis/throughput.hpp"
+#include "base/errors.hpp"
 #include "gen/structured.hpp"
 #include "maxplus/mcm.hpp"
 #include "maxplus/mcm_certificate.hpp"
@@ -155,28 +157,58 @@ TEST(Refinement, TimingEditKeepsUntimedSlotsByPointer) {
 
 TEST(Refinement, TimingEditRefinesThroughputBitExact) {
     Graph g = ring4();
-    const auto warm = warm_throughput(g);
-    cached_throughput(g);  // prime the plain slot so phase 2 has one to refine
-    ASSERT_TRUE(warm->result.is_finite());
-    ASSERT_NE(warm->state, nullptr);  // small graph: warm state exists
+    // One plain query and nothing else: the cold solve IS the warm state.
+    const auto answer = cached_throughput(g);
+    ASSERT_TRUE(answer->is_finite());
+    const auto slot = g.analyses()->cached<ThroughputAnalysis>();
+    ASSERT_NE(slot, nullptr);
+    EXPECT_EQ(&slot->result, answer.get());  // one slot behind both accessors
+    ASSERT_NE(slot->state, nullptr);         // small graph: warm state exists
 
     Graph copy = g;
     copy.set_execution_time(3, 11);  // d: 4 -> 11
 
     // The edit was absorbed without a from-scratch solve...
-    const auto refined = copy.analyses()->cached<IncrementalThroughputAnalysis>();
+    const auto refined = copy.analyses()->cached<ThroughputAnalysis>();
     ASSERT_NE(refined, nullptr);
-    EXPECT_EQ(refined->refines, warm->refines + 1);
-    // ...and phase 2 forwarded the answer into the plain throughput slot.
-    const auto forwarded = copy.analyses()->cached<ThroughputAnalysis>();
-    ASSERT_NE(forwarded, nullptr);
+    EXPECT_EQ(refined->refines, 1u);
+    EXPECT_EQ(cached_throughput(copy).get(), &refined->result);
 
-    // Bit-exact against a from-scratch solve on a cold rebuild.
+    // ...and is bit-exact against a from-scratch solve on a cold rebuild.
     const ThroughputResult cold = throughput_symbolic(rebuild_cold(copy));
     EXPECT_EQ(refined->result.outcome, cold.outcome);
     EXPECT_EQ(refined->result.period, cold.period);
     EXPECT_EQ(refined->result.per_actor, cold.per_actor);
-    EXPECT_EQ(forwarded->period, cold.period);
+}
+
+TEST(Refinement, RateEditChildRefinesItsNextTimingEdit) {
+    Graph g = ring4();
+    cached_throughput(g);
+
+    // b produces 2 per firing and a consumes 2: still consistent, q = (1,1,2,2).
+    Graph child = g;
+    child.set_rates(1, 2, 1);
+    child.set_rates(3, 1, 2);
+    EXPECT_FALSE(child.analyses()->is_cached<ThroughputAnalysis>());
+    const auto solved = cached_throughput(child);  // the child's one full solve
+    const ThroughputResult child_cold = throughput_symbolic(rebuild_cold(child));
+    EXPECT_EQ(solved->period, child_cold.period);
+    EXPECT_EQ(solved->per_actor, child_cold.per_actor);
+
+    Graph grandchild = child;
+    grandchild.set_execution_time(2, 5);  // c: 3 -> 5
+    const auto refined = grandchild.analyses()->cached<ThroughputAnalysis>();
+    ASSERT_NE(refined, nullptr);
+    EXPECT_EQ(refined->refines, 1u);
+    const ThroughputResult cold = throughput_symbolic(rebuild_cold(grandchild));
+    EXPECT_EQ(cached_throughput(grandchild)->period, cold.period);
+    EXPECT_EQ(cached_throughput(grandchild)->per_actor, cold.per_actor);
+    for (const AnalysisSlotStats& stats : grandchild.analyses()->stats()) {
+        if (stats.analysis == "throughput") {
+            EXPECT_EQ(stats.misses, 0u);  // no second full solve
+            EXPECT_EQ(stats.refined, 1u);
+        }
+    }
 }
 
 TEST(Refinement, EditChainStaysExactAndCountsRefines) {
@@ -190,13 +222,13 @@ TEST(Refinement, EditChainStaysExactAndCountsRefines) {
         {1, 4}, {2, 9}, {1, 5}, {3, 1}, {0, 2}};
     for (const auto& [actor, time] : edits) {
         edited.set_execution_time(actor, time);
-        const auto inc = edited.analyses()->cached<IncrementalThroughputAnalysis>();
+        const auto inc = edited.analyses()->cached<ThroughputAnalysis>();
         ASSERT_NE(inc, nullptr);
         const ThroughputResult cold = throughput_symbolic(rebuild_cold(edited));
         EXPECT_EQ(inc->result.period, cold.period);
         EXPECT_EQ(inc->result.per_actor, cold.per_actor);
     }
-    const auto final_state = edited.analyses()->cached<IncrementalThroughputAnalysis>();
+    const auto final_state = edited.analyses()->cached<ThroughputAnalysis>();
     EXPECT_EQ(final_state->refines, warm->refines + edits.size());
 }
 
@@ -204,7 +236,7 @@ TEST(Refinement, TokenEditKeepsRateResultsAndStaysExact) {
     Graph g = ring4();
     const auto reps = g.analyses()->get<RepetitionVectorAnalysis>(g);
     const auto consistent = g.analyses()->get<ConsistencyAnalysis>(g);
-    warm_throughput(g);
+    cached_throughput(g);
 
     Graph copy = g;
     copy.set_initial_tokens(3, 3);  // ring credit 2 -> 3
@@ -225,7 +257,7 @@ TEST(Refinement, TokenEditKeepsRateResultsAndStaysExact) {
 TEST(Refinement, RateEditRefinedRepetitionMatchesColdSolve) {
     Graph g = ring4();
     repetition_vector(g);
-    warm_throughput(g);
+    cached_throughput(g);
 
     Graph copy = g;
     copy.set_rates(1, 2, 1);  // b now produces 2 per firing
@@ -244,7 +276,7 @@ TEST(Refinement, RateEditRefinedRepetitionMatchesColdSolve) {
 TEST(Refinement, StructuralEditsDropDerivedResultsButStayCorrect) {
     Graph g = ring4();
     repetition_vector(g);
-    warm_throughput(g);
+    cached_throughput(g);
 
     // Splice a new actor into the ring: a -> b becomes a -> x -> b.
     Graph copy = g;
@@ -270,7 +302,6 @@ TEST(Refinement, StatsCountKeptAndRefinedSlots) {
     Graph g = ring4();
     g.analyses()->get<RepetitionVectorAnalysis>(g);
     g.analyses()->get<SequentialScheduleAnalysis>(g);
-    warm_throughput(g);
     cached_throughput(g);
 
     Graph copy = g;
@@ -285,12 +316,84 @@ TEST(Refinement, StatsCountKeptAndRefinedSlots) {
             EXPECT_EQ(slot.kept, 1u) << slot.analysis;
             EXPECT_TRUE(slot.cached) << slot.analysis;
         }
-        if (slot.analysis == "throughput-incremental") {
+        if (slot.analysis == "throughput") {
             EXPECT_EQ(slot.refined, 1u);
+            EXPECT_TRUE(slot.cached);
         }
     }
     EXPECT_GE(kept, 2u);     // repetition + schedule (at least)
-    EXPECT_GE(refined, 2u);  // warm state + forwarded throughput
+    EXPECT_EQ(refined, 1u);  // the one throughput slot
+}
+
+// ------------------------------------------------------------ slot limits
+
+TEST(ThroughputSlot, TokenLimitThrowsLikeTheDirectRouteAndCachesNothing) {
+    Graph g("wide");
+    const ActorId a = g.add_actor("a", 1);
+    const ActorId b = g.add_actor("b", 1);
+    g.add_channel(a, b, 0);
+    g.add_channel(b, a, 16385);
+    std::string direct;
+    try {
+        throughput_symbolic(g);
+    } catch (const ResourceLimitError& e) {
+        direct = e.what();
+    }
+    ASSERT_FALSE(direct.empty());
+    try {
+        cached_throughput(g);
+        ADD_FAILURE() << "cached_throughput accepted 16385 initial tokens";
+    } catch (const ResourceLimitError& e) {
+        EXPECT_EQ(std::string(e.what()), direct);
+    }
+    EXPECT_FALSE(g.analyses()->is_cached<ThroughputAnalysis>());
+}
+
+TEST(ThroughputSlot, LongIterationAnswersWithoutWarmState) {
+    // a fires once per iteration and b once per token a produces, each
+    // behind a one-token self-loop: past 2^17 firings, few tokens.
+    constexpr Int kFirings = (Int{1} << 17) + 8;
+    Graph g("long");
+    const ActorId a = g.add_actor("a", 3);
+    const ActorId b = g.add_actor("b", 1);
+    g.add_channel(a, a, 1);
+    g.add_channel(b, b, 1);
+    g.add_channel(a, b, kFirings, 1, 0);
+
+    const auto slot = warm_throughput(g);
+    EXPECT_EQ(slot->state, nullptr);
+    const ThroughputResult cold = throughput_symbolic(g);
+    EXPECT_EQ(slot->result.outcome, cold.outcome);
+    EXPECT_EQ(slot->result.period, cold.period);
+    EXPECT_EQ(slot->result.per_actor, cold.per_actor);
+
+    // Without warm state a timing edit drops the slot; the lazy re-solve
+    // is still exact.
+    Graph copy = g;
+    copy.set_execution_time(b, 2);
+    EXPECT_FALSE(copy.analyses()->is_cached<ThroughputAnalysis>());
+    EXPECT_EQ(cached_throughput(copy)->period,
+              throughput_symbolic(rebuild_cold(copy)).period);
+}
+
+TEST(ThroughputSlot, AdoptedStateIsNotReplayedOnAnotherStructure) {
+    // retiming declares throughput preserved, so the post-pass graph adopts
+    // the slot (warm state included) although its tokens moved.  A later
+    // timing edit must not replay the foreign trace.
+    Graph g = ring4();
+    g.set_initial_tokens(3, 3);
+    cached_throughput(g);
+    PipelineRun run = PipelineExecutor().run(parse_pipeline("retiming"), g);
+    if (!run.reports[0].changed) {
+        GTEST_SKIP() << "retiming left the fixture unchanged";
+    }
+    ASSERT_TRUE(run.graph.analyses()->is_cached<ThroughputAnalysis>());
+    Graph edited = run.graph;
+    edited.set_execution_time(1, 9);
+    EXPECT_FALSE(edited.analyses()->is_cached<ThroughputAnalysis>());
+    const ThroughputResult cold = throughput_symbolic(rebuild_cold(edited));
+    EXPECT_EQ(cached_throughput(edited)->period, cold.period);
+    EXPECT_EQ(cached_throughput(edited)->per_actor, cold.per_actor);
 }
 
 // --------------------------------------------------------------- adopt / install
@@ -464,7 +567,7 @@ TEST(ExecutorDelta, RetimingRefinesTheScheduleThroughItsDelta) {
     // And the carried throughput is the retiming-invariant period.
     const auto after = run.graph.analyses()->cached<ThroughputAnalysis>();
     ASSERT_NE(after, nullptr);
-    EXPECT_EQ(after->period, before->period);
+    EXPECT_EQ(after->result.period, before->period);
     EXPECT_EQ(throughput_symbolic(rebuild_cold(run.graph)).period, before->period);
 }
 

@@ -3,8 +3,8 @@
 //
 // The sparse symbolic engine (MpStamp FIFOs) and the blocked sparsity-aware
 // matrix product are optimisations, not reformulations: on every input they
-// must produce bit-identical results to the dense engine and the naive
-// triple loop they replaced.  These suites hold that equality over hundreds
+// must produce bit-identical results to the dense reference engine
+// (verify/reference_symbolic.hpp) and the naive triple loop they replaced.  These suites hold that equality over hundreds
 // of random consistent live SDF graphs from src/gen, which is what makes
 // the fast paths safe to keep as the defaults.  The suites also run under
 // ASan/UBSan and TSan in CI.
@@ -16,6 +16,7 @@
 #include "gen/structured.hpp"
 #include "maxplus/matrix.hpp"
 #include "transform/symbolic.hpp"
+#include "verify/reference_symbolic.hpp"
 
 namespace sdf {
 namespace {
@@ -42,18 +43,17 @@ TEST(PerfKernelsProperty, SparseAndDenseSymbolicEnginesAgree) {
     std::mt19937 rng(20090426);  // DAC'09 vintage
     for (int round = 0; round < kRandomGraphs; ++round) {
         const Graph g = random_sdf(rng, varied_options(round));
-        const SymbolicIteration sparse = symbolic_iteration(g, SymbolicEngine::sparse);
-        const SymbolicIteration dense = symbolic_iteration(g, SymbolicEngine::dense);
-        ASSERT_EQ(sparse.tokens.size(), dense.tokens.size()) << "round " << round;
-        ASSERT_EQ(sparse.matrix, dense.matrix) << "round " << round;
+        const SymbolicIteration sparse = symbolic_iteration(g);
+        const MpMatrix dense = reference_symbolic_matrix(g);
+        ASSERT_EQ(sparse.tokens.size(), dense.rows()) << "round " << round;
+        ASSERT_EQ(sparse.matrix, dense) << "round " << round;
     }
 }
 
 TEST(PerfKernelsProperty, EnginesAgreeOnStructuredFamilies) {
     for (const Graph& g : {chain_graph({3, 1, 4, 1, 5}, 3), fork_join_graph(17, 5, 2),
                            ring_graph(9, 7, 2)}) {
-        EXPECT_EQ(symbolic_iteration(g, SymbolicEngine::sparse).matrix,
-                  symbolic_iteration(g, SymbolicEngine::dense).matrix);
+        EXPECT_EQ(symbolic_iteration(g).matrix, reference_symbolic_matrix(g));
     }
 }
 
